@@ -22,7 +22,8 @@ use ow_bench::{cr_workload, Cli};
 use ow_common::afr::{AttrValue, FlowRecord};
 use ow_common::block::{RecordBlock, DEFAULT_BLOCK_CAPACITY};
 use ow_common::flowkey::FlowKey;
-use ow_controller::live::{DataPlaneMsg, LiveController};
+use ow_controller::live::{ReliableLiveController, ReliableMsg};
+use ow_controller::reliability::RetryPolicy;
 use ow_controller::wire::encode_merged;
 use serde::Serialize;
 
@@ -104,17 +105,22 @@ fn reference_fold(batches: &[Vec<FlowRecord>], span: usize) -> Vec<u8> {
 }
 
 /// Pre-build the block stream for one run so the timed loop measures
-/// the pipeline, not message construction.
-fn build_messages(batches: &[Vec<FlowRecord>], capacity: usize) -> Vec<DataPlaneMsg> {
+/// the pipeline, not message construction: each sub-window is
+/// announced, streamed as blocks, and ended.
+fn build_messages(batches: &[Vec<FlowRecord>], capacity: usize) -> Vec<ReliableMsg> {
     let mut msgs = Vec::new();
     for (sw, afrs) in batches.iter().enumerate() {
-        let chunks: Vec<&[FlowRecord]> = afrs.chunks(capacity.max(1)).collect();
-        for (i, chunk) in chunks.iter().enumerate() {
-            msgs.push(DataPlaneMsg::AfrBlock {
-                block: RecordBlock::from_records(sw as u32, chunk),
-                seal: i + 1 == chunks.len(),
-            });
+        let subwindow = sw as u32;
+        msgs.push(ReliableMsg::Announce {
+            subwindow,
+            announced: afrs.len() as u32,
+        });
+        for chunk in afrs.chunks(capacity.max(1)) {
+            msgs.push(ReliableMsg::AfrBlock(RecordBlock::from_records(
+                subwindow, chunk,
+            )));
         }
+        msgs.push(ReliableMsg::EndOfStream { subwindow });
     }
     msgs
 }
@@ -151,15 +157,26 @@ fn main() {
         let mut merged_flows = 0usize;
         for _ in 0..3 {
             let run = messages.clone();
-            let ctl = LiveController::spawn_sharded(window_span, 256, shards);
+            // A lossless feed: nothing to retransmit, never an escalation.
+            let ctl = ReliableLiveController::spawn_sharded(
+                window_span,
+                256,
+                RetryPolicy::default(),
+                Box::new(|_, _| Vec::new()),
+                Box::new(|_| panic!("a lossless run never escalates")),
+                shards,
+            );
             let started = Instant::now();
             for msg in run {
                 ctl.sender.send(msg).expect("controller alive");
             }
             let handle = ctl.handle.clone();
-            let routed = ctl.join();
+            let metrics = ctl.join();
             let wall = started.elapsed().as_secs_f64();
-            assert_eq!(routed, u64::from(subwindows), "every sub-window sealed");
+            assert_eq!(
+                metrics.first_pass, total_records,
+                "every record merged on the first pass"
+            );
 
             let fold = encode_merged(&handle.snapshot()).to_vec();
             snapshot_bytes = fold.len();

@@ -250,16 +250,8 @@ enum ObsMode {
     Oracle,
 }
 
-/// How the workload goes onto the reliable queue.
-#[derive(Clone, Copy)]
-enum Feed {
-    /// One `Afr`/`TracedAfr` message per record — the PR 3 shape.
-    PerRecord,
-    /// `RecordBlock`s of this capacity, one message per block.
-    Blocks(usize),
-}
-
 /// Stream the whole workload through one lossless reliable controller
+/// as `RecordBlock`s of `cap` records (1 = one message per record)
 /// and return the wall seconds for ingest + drain plus the FNV digest
 /// of the deterministic final fold. Blocks are pre-built outside the
 /// timed region (the fleet feeder builds them on the switch side; the
@@ -273,20 +265,17 @@ fn run_once(
     span: usize,
     obs: Option<&Obs>,
     mode: ObsMode,
-    feed: Feed,
+    cap: usize,
 ) -> (f64, u64) {
-    let prepared: Vec<Vec<RecordBlock>> = match feed {
-        Feed::PerRecord => Vec::new(),
-        Feed::Blocks(cap) => batches
-            .iter()
-            .enumerate()
-            .map(|(sw, afrs)| {
-                afrs.chunks(cap.max(1))
-                    .map(|chunk| RecordBlock::from_records(sw as u32, chunk))
-                    .collect()
-            })
-            .collect(),
-    };
+    let prepared: Vec<Vec<RecordBlock>> = batches
+        .iter()
+        .enumerate()
+        .map(|(sw, afrs)| {
+            afrs.chunks(cap.max(1))
+                .map(|chunk| RecordBlock::from_records(sw as u32, chunk))
+                .collect()
+        })
+        .collect();
     let engine = match (obs, mode) {
         (Some(o), ObsMode::Health) => {
             Some(o.install_health(controller_health_rules(), FlightRecorderConfig::default()))
@@ -331,56 +320,20 @@ fn run_once(
                 anchor_ns: 1,
             }
         });
-        match ctx {
-            Some(ctx) => {
-                ctl.sender
-                    .send(ReliableMsg::TracedAnnounce {
-                        subwindow: sw,
-                        announced: afrs.len() as u32,
-                        ctx,
-                    })
-                    .expect("controller alive");
-                match feed {
-                    Feed::PerRecord => {
-                        for rec in afrs {
-                            ctl.sender
-                                .send(ReliableMsg::TracedAfr(Traced::new(ctx, *rec)))
-                                .expect("controller alive");
-                        }
-                    }
-                    Feed::Blocks(_) => {
-                        for block in prepared.next().expect("a block list per sub-window") {
-                            ctl.sender
-                                .send(ReliableMsg::TracedAfrBlock(Traced::new(ctx, block)))
-                                .expect("controller alive");
-                        }
-                    }
-                }
-            }
-            None => {
-                ctl.sender
-                    .send(ReliableMsg::Announce {
-                        subwindow: sw,
-                        announced: afrs.len() as u32,
-                    })
-                    .expect("controller alive");
-                match feed {
-                    Feed::PerRecord => {
-                        for rec in afrs {
-                            ctl.sender
-                                .send(ReliableMsg::Afr(*rec))
-                                .expect("controller alive");
-                        }
-                    }
-                    Feed::Blocks(_) => {
-                        for block in prepared.next().expect("a block list per sub-window") {
-                            ctl.sender
-                                .send(ReliableMsg::AfrBlock(block))
-                                .expect("controller alive");
-                        }
-                    }
-                }
-            }
+        let traced = |msg: ReliableMsg| match ctx {
+            Some(ctx) => ReliableMsg::Traced(Traced::new(ctx, Box::new(msg))),
+            None => msg,
+        };
+        ctl.sender
+            .send(traced(ReliableMsg::Announce {
+                subwindow: sw,
+                announced: afrs.len() as u32,
+            }))
+            .expect("controller alive");
+        for block in prepared.next().expect("a block list per sub-window") {
+            ctl.sender
+                .send(traced(ReliableMsg::AfrBlock(block)))
+                .expect("controller alive");
         }
         ctl.sender
             .send(ReliableMsg::EndOfStream { subwindow: sw })
@@ -451,12 +404,12 @@ fn best_of(
     shards: usize,
     span: usize,
     mode: ObsMode,
-    feed: Feed,
+    cap: usize,
 ) -> (f64, u64) {
     let runs: Vec<(f64, u64)> = (0..reps)
         .map(|_| match mode {
-            ObsMode::Off => run_once(batches, truth, shards, span, None, mode, feed),
-            _ => run_once(batches, truth, shards, span, Some(&Obs::new()), mode, feed),
+            ObsMode::Off => run_once(batches, truth, shards, span, None, mode, cap),
+            _ => run_once(batches, truth, shards, span, Some(&Obs::new()), mode, cap),
         })
         .collect();
     let digest = runs[0].1;
@@ -484,7 +437,7 @@ fn best_of_modes(
     truth: &[Arc<[FlowRecord]>],
     shards: usize,
     span: usize,
-    feed: Feed,
+    cap: usize,
 ) -> ([f64; 4], u64) {
     const MODES: [ObsMode; 4] = [
         ObsMode::Off,
@@ -497,8 +450,8 @@ fn best_of_modes(
     for _ in 0..reps {
         for (i, mode) in MODES.into_iter().enumerate() {
             let (wall, d) = match mode {
-                ObsMode::Off => run_once(batches, truth, shards, span, None, mode, feed),
-                _ => run_once(batches, truth, shards, span, Some(&Obs::new()), mode, feed),
+                ObsMode::Off => run_once(batches, truth, shards, span, None, mode, cap),
+                _ => run_once(batches, truth, shards, span, Some(&Obs::new()), mode, cap),
             };
             let expect = *digest.get_or_insert(d);
             assert_eq!(
@@ -578,7 +531,7 @@ fn main() {
             &truth,
             shards,
             window_span,
-            Feed::Blocks(DEFAULT_BLOCK_CAPACITY),
+            DEFAULT_BLOCK_CAPACITY,
         );
         let expect = *digest.get_or_insert(d_row);
         assert_eq!(
@@ -612,40 +565,23 @@ fn main() {
     let aggregate_health_overhead_pct = (health_total - off_total) / off_total * 100.0;
     let aggregate_oracle_overhead_pct = (oracle_total - off_total) / off_total * 100.0;
 
-    // The self-gate reference: the same workload as one message per
-    // record, measured in this very run on this very machine — no
-    // stale-baseline excuses.
-    let (per_record_wall, d_ref) = best_of(
-        reps,
-        &batches,
-        &truth,
-        8,
-        window_span,
-        ObsMode::Off,
-        Feed::PerRecord,
-    );
-    let per_record_rate = total as f64 / per_record_wall;
+    // The self-gate reference is the sweep's capacity-1 row: the same
+    // workload as one message per record, measured in this very run on
+    // this very machine — no stale-baseline excuses.
     let expect = digest.expect("per-shard rows ran first");
-    assert_eq!(d_ref, expect, "per-record fold diverged from block fold");
-
     let mut sweep = Vec::new();
     for cap in [1usize, 16, 256, 1024] {
-        let (wall, d) = best_of(
-            reps,
-            &batches,
-            &truth,
-            8,
-            window_span,
-            ObsMode::Off,
-            Feed::Blocks(cap),
-        );
+        let (wall, d) = best_of(reps, &batches, &truth, 8, window_span, ObsMode::Off, cap);
         assert_eq!(d, expect, "fold digest varied across block capacities");
-        let rate = total as f64 / wall;
         sweep.push(SweepRow {
             block_capacity: cap,
-            records_per_sec: rate,
-            speedup_vs_per_record: rate / per_record_rate,
+            records_per_sec: total as f64 / wall,
+            speedup_vs_per_record: 0.0,
         });
+    }
+    let per_record_rate = sweep[0].records_per_sec;
+    for row in &mut sweep {
+        row.speedup_vs_per_record = row.records_per_sec / per_record_rate;
     }
     let block_rate = sweep
         .iter()

@@ -18,9 +18,9 @@
 //! * [`rdma`] — the simulated one-sided RDMA region: hot-key address
 //!   MAT, cold-key append buffer, and Fetch-and-Add offload (§7),
 //! * [`simd`] — scalar vs auto-vectorised AFR aggregation (Exp#7),
-//! * [`live`] — a threaded live deployment: a crossbeam channel from
-//!   the data plane into a controller thread with a shared, lock-
-//!   protected merge table,
+//! * [`live`] — the threaded live controller: a router thread that
+//!   runs the §8 collection loop (announce, stream, recover, merge) in
+//!   front of `N` shard workers with lock-protected merge tables,
 //! * [`timing`] — the O1–O5 instrumented controller for Exp#4.
 
 #![forbid(unsafe_code)]
@@ -38,7 +38,7 @@ pub mod timing;
 pub mod wire;
 
 pub use collector::{CollectionSession, SessionStatus};
-pub use live::{LiveController, LiveHandle, ReliableLiveController, ReliableMsg};
+pub use live::{LiveHandle, ReliableLiveController, ReliableMsg};
 pub use rdma::{RdmaRegion, RdmaWriteKind};
 pub use reliability::{AfrTransport, FnTransport, ReliabilityDriver, RetryPolicy, SessionOutcome};
 pub use shard::ShardedMergeTable;

@@ -4,20 +4,26 @@
 //! The simulation experiments run single-threaded on virtual time, but a
 //! real deployment has the data plane and the controller on different
 //! processors connected by a message stream. This module provides that
-//! runtime shape, in two tiers:
+//! runtime shape as one controller, [`ReliableLiveController`], running
+//! the §8 loop of the paper:
 //!
-//! * A **router thread** receives AFR batches or columnar
-//!   [`RecordBlock`]s over a bounded crossbeam channel, drives each
-//!   window's lifecycle through the shared [`WindowEngine`] (announced →
-//!   merged → released on slide-eviction), and scatters the records by
-//!   flow-key hash into capacity-bounded per-shard blocks — one queue
-//!   send per *block*, not per record.
-//! * **`N` shard workers** (one thread per shard, `N` from the
-//!   `OW_SHARDS` environment variable, default 1) each own a disjoint
+//! * A **router thread** receives [`ReliableMsg`]s over a bounded
+//!   crossbeam channel. The trigger packet announces a sub-window's AFR
+//!   count, columnar [`RecordBlock`]s stream in, and at end of stream
+//!   the router checks completeness, retransmits or escalates what is
+//!   missing, and only then merges. A lossless stream is the same loop
+//!   with nothing to recover. The router drives each window's
+//!   lifecycle through the shared [`WindowEngine`] (merged → released
+//!   on slide-eviction) and scatters the complete batch by flow-key hash
+//!   into capacity-bounded per-shard blocks — one queue send per
+//!   *block*, not per record.
+//! * **`N` shard workers** (one thread per shard) each own a disjoint
 //!   key slice in their own lock-protected [`MergeTable`] and fold whole
 //!   blocks ([`MergeTable::insert_block`]). Every worker receives every
 //!   sub-window — empty blocks where it owns no keys — so sliding-window
 //!   evictions stay synchronized across shards.
+//!   [`ReliableLiveController::spawn`] takes `N` from the `OW_SHARDS`
+//!   environment variable (default 1).
 //!
 //! Queries read the shard tables concurrently through the
 //! [`LiveHandle`]; its [`LiveHandle::snapshot`] is the deterministic
@@ -26,9 +32,8 @@
 //!
 //! Back-pressure is explicit at both boundaries: `sender.send` blocks
 //! when the router queue is full (as a NIC queue would), and the
-//! non-blocking [`LiveController::offer`] /
-//! [`ReliableLiveController::offer`] instead reject and count the drop —
-//! there is no silent loss path.
+//! non-blocking [`ReliableLiveController::offer`] instead rejects and
+//! counts the drop — there is no silent loss path.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -40,7 +45,7 @@ use parking_lot::RwLock;
 
 use ow_common::afr::{AttrValue, FlowRecord};
 use ow_common::block::{RecordBlock, ShardScatter, DEFAULT_BLOCK_CAPACITY};
-use ow_common::engine::{WindowEngine, WindowEvent, WindowFsm, WindowPhase};
+use ow_common::engine::{WindowEngine, WindowEvent, WindowPhase};
 use ow_common::flowkey::FlowKey;
 use ow_common::hash::ShardPartition;
 use ow_common::metrics::ReliabilityMetrics;
@@ -61,10 +66,9 @@ fn parse_shards(value: Option<&str>) -> usize {
 
 /// The shard count configured for this process via `OW_SHARDS`.
 ///
-/// This is what [`LiveController::spawn`] and
-/// [`ReliableLiveController::spawn`] use, so the CI matrix can exercise
-/// the whole test suite at several shard counts without touching call
-/// sites.
+/// This is what [`ReliableLiveController::spawn`] uses, so the CI matrix
+/// can exercise the whole test suite at several shard counts without
+/// touching call sites.
 pub fn shards_from_env() -> usize {
     parse_shards(std::env::var("OW_SHARDS").ok().as_deref())
 }
@@ -190,15 +194,6 @@ impl ShardPool {
         let _ = self.senders[shard].send(ShardMsg::Block { block, open });
     }
 
-    /// Fan one sub-window's batch out to every shard, scattered into
-    /// capacity-bounded blocks (one send per block, not per record).
-    fn insert(&self, subwindow: u32, afrs: Vec<FlowRecord>) {
-        let mut scatter = ShardScatter::new(self.partition, DEFAULT_BLOCK_CAPACITY);
-        scatter.scatter_batch(subwindow, &afrs, |shard, block, open| {
-            self.send_block(shard, block, open);
-        });
-    }
-
     /// Scatter one complete sub-window block across the shards.
     fn insert_block(&self, block: &RecordBlock) {
         let mut scatter = ShardScatter::new(self.partition, DEFAULT_BLOCK_CAPACITY);
@@ -259,23 +254,13 @@ impl LiveHandle {
     }
 }
 
-/// How many records a rejected data-plane message loses — the unit the
+/// How many records a rejected message loses — the unit the
 /// backpressure accounting charges. Payload-free control messages count
 /// one, as does a degenerate empty block (the message itself is lost).
-fn dataplane_msg_records(msg: &DataPlaneMsg) -> u64 {
-    match msg {
-        DataPlaneMsg::AfrBatch { afrs, .. } => (afrs.len() as u64).max(1),
-        DataPlaneMsg::AfrBlock { block, .. } => (block.len() as u64).max(1),
-        DataPlaneMsg::Shutdown => 1,
-    }
-}
-
-/// Record count of a rejected reliable-path message (see
-/// [`dataplane_msg_records`]).
 fn reliable_msg_records(msg: &ReliableMsg) -> u64 {
     match msg {
         ReliableMsg::AfrBlock(block) => (block.len() as u64).max(1),
-        ReliableMsg::TracedAfrBlock(traced) => (traced.payload.len() as u64).max(1),
+        ReliableMsg::Traced(traced) => reliable_msg_records(&traced.payload),
         _ => 1,
     }
 }
@@ -342,217 +327,10 @@ impl LiveHandle {
     }
 }
 
-/// A message from the data plane to the controller.
-#[derive(Debug, Clone)]
-pub enum DataPlaneMsg {
-    /// One terminated sub-window's AFR batch.
-    AfrBatch {
-        /// The terminated sub-window.
-        subwindow: u32,
-        /// Its AFRs.
-        afrs: Vec<FlowRecord>,
-    },
-    /// One columnar block of a sub-window's AFR stream — the
-    /// wire-batched hot path. A sub-window's blocks arrive contiguously;
-    /// `seal` marks its last block and completes the sub-window. A block
-    /// for a *different* sub-window (or an [`DataPlaneMsg::AfrBatch`] /
-    /// `Shutdown`) also seals whatever stream is open, so a lost seal
-    /// flag delays but never wedges a sub-window.
-    AfrBlock {
-        /// The stream's columnar records (all one sub-window).
-        block: RecordBlock,
-        /// Whether this is the sub-window's final block.
-        seal: bool,
-    },
-    /// End of stream: the controller thread drains and exits.
-    Shutdown,
-}
-
-/// The running controller: its input channel, query handle, and router
-/// thread (which owns the shard worker pool).
-pub struct LiveController {
-    /// Send AFR batches (and finally `Shutdown`) here. `send` blocks
-    /// when the queue is full — back-pressure, not loss.
-    pub sender: Sender<DataPlaneMsg>,
-    /// Concurrent query access.
-    pub handle: LiveHandle,
-    thread: JoinHandle<u64>,
-}
-
-impl LiveController {
-    /// Spawn a controller maintaining a sliding window of
-    /// `window_subwindows` sub-windows, sharded per `OW_SHARDS`.
-    /// `queue_depth` bounds every channel (back-pressure toward the
-    /// data plane, as a NIC queue would).
-    pub fn spawn(window_subwindows: usize, queue_depth: usize) -> LiveController {
-        LiveController::spawn_sharded(window_subwindows, queue_depth, shards_from_env())
-    }
-
-    /// [`LiveController::spawn`] with an explicit shard count.
-    pub fn spawn_sharded(
-        window_subwindows: usize,
-        queue_depth: usize,
-        shards: usize,
-    ) -> LiveController {
-        LiveController::spawn_sharded_obs(window_subwindows, queue_depth, shards, None)
-    }
-
-    /// [`LiveController::spawn_sharded`] with observability attached:
-    /// the router's [`WindowEngine`] reports every transition, each
-    /// shard worker exposes a queue-depth gauge, routed batches are
-    /// counted (`ow_controller_batches_total`), and rejected `offer`s
-    /// bump `ow_controller_backpressure_dropped_total`.
-    pub fn spawn_sharded_obs(
-        window_subwindows: usize,
-        queue_depth: usize,
-        shards: usize,
-        obs: Option<&Obs>,
-    ) -> LiveController {
-        let (tx, rx): (Sender<DataPlaneMsg>, Receiver<DataPlaneMsg>) = bounded(queue_depth);
-        let pool = ShardPool::spawn(shards, queue_depth, obs);
-        let handle = LiveHandle {
-            tables: pool.tables.clone(),
-            partition: pool.partition,
-            window_subwindows,
-            dropped: Arc::new(AtomicU64::new(0)),
-            drop_counter: obs.map(|o| o.counter("ow_controller_backpressure_dropped_total", &[])),
-        };
-        let obs = obs.cloned();
-        let thread = std::thread::spawn(move || {
-            let batch_counter = obs
-                .as_ref()
-                .map(|o| o.counter("ow_controller_batches_total", &[]));
-            let mut engine = WindowEngine::new();
-            if let Some(o) = &obs {
-                engine.set_sink(o.engine_sink("controller"));
-            }
-            let mut merged_order: VecDeque<u32> = VecDeque::new();
-            let mut batches = 0u64;
-            // Streaming scatter state for the block path: the open
-            // sub-window and how many records it has routed so far.
-            let mut scatter = ShardScatter::new(pool.partition, DEFAULT_BLOCK_CAPACITY);
-            let mut stream: Option<(u32, u64)> = None;
-            // Complete one sub-window: lifecycle bookkeeping plus the
-            // sliding-window eviction sweep. The plain data-plane path
-            // has no loss to repair, so the sub-window is merged the
-            // moment its stream is complete.
-            let finish_subwindow =
-                |subwindow: u32,
-                 announced: u32,
-                 engine: &mut WindowEngine,
-                 merged_order: &mut VecDeque<u32>| {
-                    engine.insert(WindowFsm::announced(subwindow, announced));
-                    if engine.phase(subwindow) == Some(WindowPhase::Collected) {
-                        let _ = engine.apply(subwindow, WindowEvent::StreamComplete);
-                    }
-                    merged_order.push_back(subwindow);
-                    while merged_order.len() > window_subwindows {
-                        let oldest = merged_order.pop_front().expect("non-empty");
-                        if engine.phase(oldest) == Some(WindowPhase::Merged) {
-                            let _ = engine.apply(oldest, WindowEvent::Acked);
-                        }
-                        pool.evict();
-                    }
-                };
-            while let Ok(msg) = rx.recv() {
-                // Any non-block message (or a block for a different
-                // sub-window) seals the open block stream first.
-                let boundary = match &msg {
-                    DataPlaneMsg::AfrBlock { block, .. } => {
-                        stream.is_some_and(|(sw, _)| sw != block.subwindow())
-                    }
-                    _ => stream.is_some(),
-                };
-                if boundary {
-                    let (sw, routed) = stream.take().expect("boundary implies open stream");
-                    scatter.seal(|shard, b, open| pool.send_block(shard, b, open));
-                    finish_subwindow(sw, routed as u32, &mut engine, &mut merged_order);
-                    batches += 1;
-                    if let Some(c) = &batch_counter {
-                        c.inc();
-                    }
-                }
-                match msg {
-                    DataPlaneMsg::AfrBatch { subwindow, afrs } => {
-                        let announced = afrs.len() as u32;
-                        pool.insert(subwindow, afrs);
-                        finish_subwindow(subwindow, announced, &mut engine, &mut merged_order);
-                        batches += 1;
-                        if let Some(c) = &batch_counter {
-                            c.inc();
-                        }
-                    }
-                    DataPlaneMsg::AfrBlock { block, seal } => {
-                        if stream.is_none() {
-                            scatter.begin(block.subwindow());
-                            stream = Some((block.subwindow(), 0));
-                        }
-                        let routed = &mut stream.as_mut().expect("opened above").1;
-                        *routed += block.len() as u64;
-                        scatter.push_block(&block, |shard, b, open| {
-                            pool.send_block(shard, b, open);
-                        });
-                        if seal {
-                            let (sw, routed) = stream.take().expect("opened above");
-                            scatter.seal(|shard, b, open| pool.send_block(shard, b, open));
-                            finish_subwindow(sw, routed as u32, &mut engine, &mut merged_order);
-                            batches += 1;
-                            if let Some(c) = &batch_counter {
-                                c.inc();
-                            }
-                        }
-                    }
-                    DataPlaneMsg::Shutdown => break,
-                }
-            }
-            // A stream left open at shutdown (seal flag lost) still
-            // completes its sub-window before the pool drains.
-            if let Some((sw, routed)) = stream.take() {
-                scatter.seal(|shard, b, open| pool.send_block(shard, b, open));
-                finish_subwindow(sw, routed as u32, &mut engine, &mut merged_order);
-                batches += 1;
-                if let Some(c) = &batch_counter {
-                    c.inc();
-                }
-            }
-            pool.shutdown();
-            batches
-        });
-        LiveController {
-            sender: tx,
-            handle,
-            thread,
-        }
-    }
-
-    /// Non-blocking send: when the router queue is full (or the
-    /// controller is gone) the message is rejected, the drop is counted
-    /// on the handle, and `false` comes back — the caller decides
-    /// whether to retry, never silently losing the fact of the drop.
-    pub fn offer(&self, msg: DataPlaneMsg) -> bool {
-        match self.sender.try_send(msg) {
-            Ok(()) => true,
-            Err(e) => {
-                self.handle
-                    .count_drop(dataplane_msg_records(&e.into_inner()));
-                false
-            }
-        }
-    }
-
-    /// Signal shutdown and wait for the router and every shard worker;
-    /// returns the number of batches routed.
-    pub fn join(self) -> u64 {
-        let _ = self.sender.send(DataPlaneMsg::Shutdown);
-        self.thread.join().expect("controller thread panicked")
-    }
-}
-
-/// A message on the reliability-aware live path. Unlike
-/// [`DataPlaneMsg`], AFRs stream individually or in columnar bursts
-/// (each clone is individually droppable on the wire) and each
-/// sub-window is bracketed by an announcement and an end-of-stream
-/// mark.
+/// A message from the data plane to the controller. AFRs stream in
+/// columnar bursts (each clone is individually droppable on the wire)
+/// and each sub-window is bracketed by an announcement and an
+/// end-of-stream mark.
 #[derive(Debug, Clone)]
 pub enum ReliableMsg {
     /// Trigger-packet announcement: `announced` AFRs are coming for
@@ -564,50 +342,52 @@ pub enum ReliableMsg {
         /// How many AFRs its batch holds.
         announced: u32,
     },
-    /// One AFR report clone — whatever survived the lossy channel, in
-    /// arrival order (possibly before its announcement).
-    Afr(FlowRecord),
+    /// A burst of AFR report clones for one sub-window — whatever
+    /// survived the lossy channel, in arrival order (possibly before its
+    /// announcement). A single record travels as a block of one; blocks
+    /// may interleave freely within and across sub-windows.
+    AfrBlock(RecordBlock),
     /// The switch finished emitting `subwindow`'s initial stream; the
     /// controller may now run the recovery loop and merge.
     EndOfStream {
         /// The sub-window whose stream ended.
         subwindow: u32,
     },
-    /// [`ReliableMsg::Announce`] carrying the window's wire-propagated
-    /// [`TraceContext`], so the controller's recovery and merge spans
-    /// join the originating window's causal tree.
-    TracedAnnounce {
-        /// The terminated sub-window.
-        subwindow: u32,
-        /// How many AFRs its batch holds.
-        announced: u32,
-        /// The window's span-tracing context.
-        ctx: TraceContext,
-    },
-    /// One AFR report clone wrapped with its [`TraceContext`]. Every
-    /// clone carries the context, so any copy that survives the lossy
-    /// channel delivers it — even when the announcement itself was lost.
-    TracedAfr(Traced<FlowRecord>),
-    /// A burst of AFR report clones for one sub-window in columnar form
-    /// — the wire-batched hot path. Semantically identical to sending
-    /// each row as [`ReliableMsg::Afr`]; blocks and single records may
-    /// interleave freely within and across sub-windows.
-    AfrBlock(RecordBlock),
-    /// [`ReliableMsg::AfrBlock`] wrapped with its [`TraceContext`].
-    TracedAfrBlock(Traced<RecordBlock>),
     /// The switch owning `subwindow` departed the fleet (crash churn)
     /// before its stream completed. The session is abandoned: its
-    /// partial batch is discarded (never merged), its [`WindowFsm`] is
-    /// driven through `SwitchDeparted` to `Released` instead of being
-    /// left to wedge in a recovery loop against a dead peer, and the
-    /// sub-window is tombstoned so late clones of its announcement or
-    /// AFRs are dropped rather than resurrecting the session.
+    /// partial batch is discarded (never merged), its
+    /// [`WindowFsm`](ow_common::engine::WindowFsm) is driven through
+    /// `SwitchDeparted` to `Released` instead of being left to wedge in
+    /// a recovery loop against a dead peer, and the sub-window is
+    /// tombstoned so late clones of its announcement or AFRs are dropped
+    /// rather than resurrecting the session.
     Depart {
         /// The sub-window whose switch disappeared.
         subwindow: u32,
     },
     /// End of input: finalize every open session, then exit.
     Shutdown,
+    /// Any other message carrying its window's wire-propagated
+    /// [`TraceContext`], so the controller's recovery and merge spans
+    /// join the originating window's causal tree. Every clone may carry
+    /// the context, so any copy that survives the lossy channel delivers
+    /// it — even when the announcement itself was lost. The first
+    /// context seen for a sub-window wins.
+    Traced(Traced<Box<ReliableMsg>>),
+}
+
+impl ReliableMsg {
+    /// The sub-window this message concerns (`None` for `Shutdown`).
+    fn subwindow(&self) -> Option<u32> {
+        match self {
+            ReliableMsg::Announce { subwindow, .. }
+            | ReliableMsg::EndOfStream { subwindow }
+            | ReliableMsg::Depart { subwindow } => Some(*subwindow),
+            ReliableMsg::AfrBlock(block) => Some(block.subwindow()),
+            ReliableMsg::Shutdown => None,
+            ReliableMsg::Traced(traced) => traced.payload.subwindow(),
+        }
+    }
 }
 
 /// Controller→switch back-channel serving retransmission requests:
@@ -618,15 +398,16 @@ pub type RetransmitFn = Box<dyn FnMut(u32, &[u32]) -> Vec<FlowRecord> + Send>;
 /// The OS-path escalation: `subwindow → (full batch, charged latency)`.
 pub type OsReadFn = Box<dyn FnMut(u32) -> (Vec<FlowRecord>, Duration) + Send>;
 
-/// A [`LiveController`] variant that tolerates AFR loss: per-sub-window
-/// [`CollectionSession`]s verify completeness against the announced
-/// count, and a [`ReliabilityDriver`] runs the §8 recovery loop
-/// (retransmission rounds, then OS-path escalation) through caller
-/// supplied callbacks before anything is merged. Only complete batches
-/// ever reach the shard tables; each session's [`WindowFsm`] (already
-/// at `Merged` when it leaves the driver) is handed to the router's
-/// [`WindowEngine`], which releases it when the sliding window evicts
-/// the sub-window.
+/// The live controller. Per-sub-window [`CollectionSession`]s verify
+/// completeness against the announced count, and a
+/// [`ReliabilityDriver`] runs the §8 recovery loop (retransmission
+/// rounds, then OS-path escalation) through caller supplied callbacks
+/// before anything is merged. Only complete batches ever reach the shard
+/// tables; each session's [`WindowFsm`](ow_common::engine::WindowFsm)
+/// (already at `Merged` when it leaves the driver) is handed to the
+/// router's [`WindowEngine`], which releases it when the sliding window
+/// evicts the sub-window. A lossless stream runs the same loop and
+/// merges on the first pass.
 pub struct ReliableLiveController {
     /// Send announcements, AFRs, end-of-stream marks, then `Shutdown`.
     /// `send` blocks when the queue is full — back-pressure, not loss.
@@ -723,9 +504,9 @@ impl ReliableLiveController {
             // announcement (reordering across the message stream).
             let mut sessions: HashMap<u32, (CollectionSession, ReliabilityMetrics)> =
                 HashMap::new();
-            let mut early: HashMap<u32, Vec<FlowRecord>> = HashMap::new();
-            // Trace contexts learned from the wire (traced announcements
-            // or any surviving traced AFR clone), consumed at finalize.
+            let mut early: HashMap<u32, Vec<RecordBlock>> = HashMap::new();
+            // Trace contexts learned from the wire (the first traced
+            // message seen per sub-window), consumed at finalize.
             let mut ctxs: HashMap<u32, TraceContext> = HashMap::new();
             // Sub-windows whose switch departed: tombstones that drop
             // late announcements/AFRs instead of opening a session that
@@ -734,19 +515,8 @@ impl ReliableLiveController {
             let mut departed_windows: std::collections::HashSet<u32> =
                 std::collections::HashSet::new();
 
-            let feed = |entry: &mut (CollectionSession, ReliabilityMetrics), rec: FlowRecord| {
-                let before = entry.0.received();
-                if entry.0.receive(rec).is_ok() {
-                    if entry.0.received() > before {
-                        entry.1.first_pass += 1;
-                    } else {
-                        entry.1.duplicates += 1;
-                    }
-                }
-            };
-
-            let feed_block = |entry: &mut (CollectionSession, ReliabilityMetrics),
-                              block: &RecordBlock| {
+            let feed = |entry: &mut (CollectionSession, ReliabilityMetrics),
+                        block: &RecordBlock| {
                 if let Ok((fresh, dups)) = entry.0.receive_block(block) {
                     entry.1.first_pass += fresh;
                     entry.1.duplicates += dups;
@@ -882,31 +652,15 @@ impl ReliableLiveController {
                 }
             };
 
-            while let Ok(msg) = rx.recv() {
-                // A traced message is its plain counterpart plus a
-                // context to remember; unwrap it before dispatch.
-                let msg = match msg {
-                    ReliableMsg::TracedAnnounce {
-                        subwindow,
-                        announced,
-                        ctx,
-                    } => {
-                        ctxs.insert(subwindow, ctx);
-                        ReliableMsg::Announce {
-                            subwindow,
-                            announced,
-                        }
+            while let Ok(mut msg) = rx.recv() {
+                // A traced message is its payload plus a context to
+                // remember; unwrap it before dispatch.
+                while let ReliableMsg::Traced(traced) = msg {
+                    if let Some(subwindow) = traced.payload.subwindow() {
+                        ctxs.entry(subwindow).or_insert(traced.ctx);
                     }
-                    ReliableMsg::TracedAfr(traced) => {
-                        ctxs.entry(traced.payload.subwindow).or_insert(traced.ctx);
-                        ReliableMsg::Afr(traced.payload)
-                    }
-                    ReliableMsg::TracedAfrBlock(traced) => {
-                        ctxs.entry(traced.payload.subwindow()).or_insert(traced.ctx);
-                        ReliableMsg::AfrBlock(traced.payload)
-                    }
-                    other => other,
-                };
+                    msg = *traced.payload;
+                }
                 match msg {
                     ReliableMsg::Announce {
                         subwindow,
@@ -922,17 +676,8 @@ impl ReliableLiveController {
                             };
                             (CollectionSession::new(subwindow, announced), m)
                         });
-                        for rec in early.remove(&subwindow).unwrap_or_default() {
-                            feed(entry, rec);
-                        }
-                    }
-                    ReliableMsg::Afr(rec) => {
-                        if departed_windows.contains(&rec.subwindow) {
-                            continue;
-                        }
-                        match sessions.get_mut(&rec.subwindow) {
-                            Some(entry) => feed(entry, rec),
-                            None => early.entry(rec.subwindow).or_default().push(rec),
+                        for block in early.remove(&subwindow).unwrap_or_default() {
+                            feed(entry, &block);
                         }
                     }
                     ReliableMsg::AfrBlock(block) => {
@@ -940,14 +685,9 @@ impl ReliableLiveController {
                             continue;
                         }
                         match sessions.get_mut(&block.subwindow()) {
-                            Some(entry) => feed_block(entry, &block),
-                            None => {
-                                // The whole block raced its announcement.
-                                early
-                                    .entry(block.subwindow())
-                                    .or_default()
-                                    .extend(block.iter());
-                            }
+                            Some(entry) => feed(entry, &block),
+                            // The whole block raced its announcement.
+                            None => early.entry(block.subwindow()).or_default().push(block),
                         }
                     }
                     ReliableMsg::EndOfStream { subwindow } => {
@@ -1012,11 +752,7 @@ impl ReliableLiveController {
                             }
                         }
                     }
-                    ReliableMsg::TracedAnnounce { .. }
-                    | ReliableMsg::TracedAfr(_)
-                    | ReliableMsg::TracedAfrBlock(_) => {
-                        unreachable!("traced messages are unwrapped above")
-                    }
+                    ReliableMsg::Traced(_) => unreachable!("unwrapped above"),
                     ReliableMsg::Shutdown => break,
                 }
             }
@@ -1067,20 +803,56 @@ mod tests {
     use super::*;
     use crate::wire::encode_merged;
 
-    fn batch(sw: u32, flows: std::ops::Range<u32>, n: u64) -> DataPlaneMsg {
-        DataPlaneMsg::AfrBatch {
-            subwindow: sw,
-            afrs: flows
-                .map(|i| FlowRecord::frequency(FlowKey::src_ip(i), n, sw))
-                .collect(),
+    /// One count-`n` AFR per flow in `flows`, with dense sequence ids.
+    fn batch(sw: u32, flows: std::ops::Range<u32>, n: u64) -> Vec<FlowRecord> {
+        flows
+            .enumerate()
+            .map(|(seq, i)| {
+                let mut r = FlowRecord::frequency(FlowKey::src_ip(i), n, sw);
+                r.seq = seq as u32;
+                r
+            })
+            .collect()
+    }
+
+    /// A controller for lossless streams: nothing is ever missing, so
+    /// retransmission has nothing to answer and an escalation is a bug.
+    fn lossless(window_subwindows: usize, shards: usize) -> ReliableLiveController {
+        ReliableLiveController::spawn_sharded(
+            window_subwindows,
+            64,
+            RetryPolicy::default(),
+            Box::new(|_, _| Vec::new()),
+            Box::new(|_| panic!("a lossless stream never escalates")),
+            shards,
+        )
+    }
+
+    /// Announce `afrs`, stream them as one block, and end the stream.
+    fn send_lossless(ctl: &ReliableLiveController, sw: u32, afrs: &[FlowRecord]) {
+        let announced = afrs.len() as u32;
+        for msg in [
+            ReliableMsg::Announce {
+                subwindow: sw,
+                announced,
+            },
+            ReliableMsg::AfrBlock(RecordBlock::from_records(sw, afrs)),
+            ReliableMsg::EndOfStream { subwindow: sw },
+        ] {
+            ctl.sender.send(msg).unwrap();
         }
+    }
+
+    /// One AFR clone on the wire: a block of one.
+    fn afr(rec: FlowRecord) -> ReliableMsg {
+        ReliableMsg::AfrBlock(RecordBlock::from_records(rec.subwindow, &[rec]))
     }
 
     #[test]
     fn live_pipeline_merges_and_slides() {
-        let ctl = LiveController::spawn(2, 16);
-        ctl.sender.send(batch(0, 0..10, 60)).unwrap();
-        ctl.sender.send(batch(1, 0..10, 80)).unwrap();
+        let ctl = lossless(2, shards_from_env());
+        send_lossless(&ctl, 0, &batch(0, 0..10, 60));
+        send_lossless(&ctl, 1, &batch(1, 0..10, 80));
         // Wait for the controller to drain.
         while ctl.handle.merged_flows() < 10 {
             std::thread::yield_now();
@@ -1097,7 +869,7 @@ mod tests {
         assert_eq!(over.len(), 10);
 
         // Slide: sub-window 2 evicts sub-window 0.
-        ctl.sender.send(batch(2, 0..10, 5)).unwrap();
+        send_lossless(&ctl, 2, &batch(2, 0..10, 5));
         let mut sws = Vec::new();
         for _ in 0..10_000 {
             sws = ctl.handle.subwindows();
@@ -1107,26 +879,24 @@ mod tests {
             std::thread::yield_now();
         }
         assert_eq!(sws, vec![1, 2]);
-        assert_eq!(ctl.join(), 3);
+        assert_eq!(ctl.join().first_pass, 30);
     }
 
     #[test]
     fn shutdown_without_traffic() {
-        let ctl = LiveController::spawn(5, 4);
-        assert_eq!(ctl.join(), 0);
+        let ctl = lossless(5, shards_from_env());
+        assert_eq!(ctl.join(), ReliabilityMetrics::default());
     }
 
     #[test]
     fn sharded_live_controller_is_byte_identical_to_single_shard() {
         let run = |shards: usize| {
-            let ctl = LiveController::spawn_sharded(3, 16, shards);
+            let ctl = lossless(3, shards);
             for sw in 0..6u32 {
-                ctl.sender
-                    .send(batch(sw, 0..40, (sw as u64 + 1) * 7))
-                    .unwrap();
+                send_lossless(&ctl, sw, &batch(sw, 0..40, (sw as u64 + 1) * 7));
             }
             let handle = ctl.handle.clone();
-            assert_eq!(ctl.join(), 6);
+            assert_eq!(ctl.join().first_pass, 240);
             assert_eq!(handle.shard_count(), shards);
             assert_eq!(handle.subwindows(), vec![3, 4, 5]);
             handle
@@ -1192,9 +962,16 @@ mod tests {
                 })
                 .unwrap();
             // Drop every third AFR from the initial stream.
-            for rec in store[&sw].iter().filter(|r| r.seq % 3 != 0) {
-                ctl.sender.send(ReliableMsg::Afr(*rec)).unwrap();
-            }
+            let survivors: Vec<FlowRecord> = store[&sw]
+                .iter()
+                .filter(|r| r.seq % 3 != 0)
+                .copied()
+                .collect();
+            ctl.sender
+                .send(ReliableMsg::AfrBlock(RecordBlock::from_records(
+                    sw, &survivors,
+                )))
+                .unwrap();
             ctl.sender
                 .send(ReliableMsg::EndOfStream { subwindow: sw })
                 .unwrap();
@@ -1234,8 +1011,8 @@ mod tests {
         );
         // AFRs race ahead of their announcement; the trigger arrives
         // twice (duplicated clone); one AFR arrives twice too.
-        ctl.sender.send(ReliableMsg::Afr(store[1])).unwrap();
-        ctl.sender.send(ReliableMsg::Afr(store[1])).unwrap();
+        ctl.sender.send(afr(store[1])).unwrap();
+        ctl.sender.send(afr(store[1])).unwrap();
         for _ in 0..2 {
             ctl.sender
                 .send(ReliableMsg::Announce {
@@ -1244,7 +1021,7 @@ mod tests {
                 })
                 .unwrap();
         }
-        ctl.sender.send(ReliableMsg::Afr(store[3])).unwrap();
+        ctl.sender.send(afr(store[3])).unwrap();
         // End-of-stream mark lost: shutdown finalizes the session.
         let handle = ctl.handle.clone();
         let metrics = ctl.join();
@@ -1308,15 +1085,18 @@ mod tests {
             })
             .unwrap();
         // Part of the initial stream arrives, then the switch crashes.
-        for rec in store.iter().take(3) {
-            ctl.sender.send(ReliableMsg::Afr(*rec)).unwrap();
-        }
+        ctl.sender
+            .send(ReliableMsg::AfrBlock(RecordBlock::from_records(
+                3,
+                &store[..3],
+            )))
+            .unwrap();
         ctl.sender
             .send(ReliableMsg::Depart { subwindow: 3 })
             .unwrap();
         // Late clones and a duplicated announcement hit the tombstone
         // instead of resurrecting a session that could never complete.
-        ctl.sender.send(ReliableMsg::Afr(store[4])).unwrap();
+        ctl.sender.send(afr(store[4])).unwrap();
         ctl.sender
             .send(ReliableMsg::Announce {
                 subwindow: 3,
@@ -1375,9 +1155,16 @@ mod tests {
                     .unwrap();
                 // A lossy initial stream: the §8 loop repairs it before
                 // anything reaches the shards.
-                for rec in store[&sw].iter().filter(|r| r.seq % 4 != 1) {
-                    ctl.sender.send(ReliableMsg::Afr(*rec)).unwrap();
-                }
+                let survivors: Vec<FlowRecord> = store[&sw]
+                    .iter()
+                    .filter(|r| r.seq % 4 != 1)
+                    .copied()
+                    .collect();
+                ctl.sender
+                    .send(ReliableMsg::AfrBlock(RecordBlock::from_records(
+                        sw, &survivors,
+                    )))
+                    .unwrap();
                 ctl.sender
                     .send(ReliableMsg::EndOfStream { subwindow: sw })
                     .unwrap();
@@ -1434,12 +1221,9 @@ mod tests {
         // The router is now inside the blocked retransmit callback and
         // its input queue (depth 2) is empty: exactly two offers fit.
         entered_rx.recv().unwrap();
-        assert!(ctl.offer(ReliableMsg::Afr(store[0])));
-        assert!(ctl.offer(ReliableMsg::Afr(store[0])));
-        assert!(
-            !ctl.offer(ReliableMsg::Afr(store[0])),
-            "third offer overflows"
-        );
+        assert!(ctl.offer(afr(store[0])));
+        assert!(ctl.offer(afr(store[0])));
+        assert!(!ctl.offer(afr(store[0])), "third offer overflows");
         assert_eq!(ctl.handle.dropped(), 1);
         gate_tx.send(()).unwrap();
         let handle = ctl.handle.clone();
@@ -1477,9 +1261,16 @@ mod tests {
                     announced: 12,
                 })
                 .unwrap();
-            for rec in store[&sw].iter().filter(|r| r.seq % 2 == 0) {
-                ctl.sender.send(ReliableMsg::Afr(*rec)).unwrap();
-            }
+            let survivors: Vec<FlowRecord> = store[&sw]
+                .iter()
+                .filter(|r| r.seq % 2 == 0)
+                .copied()
+                .collect();
+            ctl.sender
+                .send(ReliableMsg::AfrBlock(RecordBlock::from_records(
+                    sw, &survivors,
+                )))
+                .unwrap();
             ctl.sender
                 .send(ReliableMsg::EndOfStream { subwindow: sw })
                 .unwrap();
@@ -1553,84 +1344,96 @@ mod tests {
 
     #[test]
     fn traced_messages_stitch_recovery_spans_into_the_window_trace() {
-        let obs = Obs::new();
-        let tracer = obs.tracer().clone();
-        // Simulate the switch side: open the window's trace and record
-        // its collect span, as `Switch::run_collection` does.
-        let trace = tracer.start_window(7, "switch", 1_000);
-        let collect = tracer
-            .span(trace, trace, "collect", "switch", None, 1_000, 2_000)
-            .expect("collect span under a live trace");
-        let ctx = TraceContext {
-            trace_id: trace,
-            root: trace,
-            collect,
-            anchor_ns: 2_500,
-        };
-        let store = seq_batch(7, 6);
-        let retrans = store.clone();
-        let ctl = ReliableLiveController::spawn_sharded_obs(
-            1,
-            64,
-            RetryPolicy::default(),
-            Box::new(move |_, seqs| seqs.iter().map(|&s| retrans[s as usize]).collect()),
-            Box::new(|_| panic!("no escalation expected")),
-            2,
-            Some(&obs),
-        );
-        ctl.sender
-            .send(ReliableMsg::TracedAnnounce {
+        // Traced announcement, or an untraced one where only a later
+        // traced block carries the context: either way the recovery and
+        // merge spans land in the window's trace.
+        for traced_announce in [true, false] {
+            let obs = Obs::new();
+            let tracer = obs.tracer().clone();
+            // Simulate the switch side: open the window's trace and
+            // record its collect span, as `Switch::run_collection` does.
+            let trace = tracer.start_window(7, "switch", 1_000);
+            let collect = tracer
+                .span(trace, trace, "collect", "switch", None, 1_000, 2_000)
+                .expect("collect span under a live trace");
+            let ctx = TraceContext {
+                trace_id: trace,
+                root: trace,
+                collect,
+                anchor_ns: 2_500,
+            };
+            let traced = |msg: ReliableMsg| ReliableMsg::Traced(Traced::new(ctx, Box::new(msg)));
+            let store = seq_batch(7, 6);
+            let retrans = store.clone();
+            let ctl = ReliableLiveController::spawn_sharded_obs(
+                1,
+                64,
+                RetryPolicy::default(),
+                Box::new(move |_, seqs| seqs.iter().map(|&s| retrans[s as usize]).collect()),
+                Box::new(|_| panic!("no escalation expected")),
+                2,
+                Some(&obs),
+            );
+            let announce = ReliableMsg::Announce {
                 subwindow: 7,
                 announced: 6,
-                ctx,
-            })
-            .unwrap();
-        // A lossy stream of traced clones; the end-of-stream mark is
-        // lost, so shutdown finalizes the session.
-        for rec in store.iter().filter(|r| r.seq % 2 == 0) {
+            };
             ctl.sender
-                .send(ReliableMsg::TracedAfr(Traced::new(ctx, *rec)))
+                .send(if traced_announce {
+                    traced(announce)
+                } else {
+                    announce
+                })
                 .unwrap();
-        }
-        let metrics = ctl.join();
-        assert!(metrics.retransmit_rounds >= 1, "lossy run must retransmit");
+            // A lossy traced stream; the end-of-stream mark is lost, so
+            // shutdown finalizes the session.
+            let survivors: Vec<FlowRecord> =
+                store.iter().filter(|r| r.seq % 2 == 0).copied().collect();
+            ctl.sender
+                .send(traced(ReliableMsg::AfrBlock(RecordBlock::from_records(
+                    7, &survivors,
+                ))))
+                .unwrap();
+            let metrics = ctl.join();
+            assert!(metrics.retransmit_rounds >= 1, "lossy run must retransmit");
 
-        let report = ow_obs::TraceReport::capture("test", &tracer, None);
-        assert_eq!(report.traces.len(), 1);
-        let summary = &report.traces[0];
-        let spans = &summary.spans;
-        // Recovery rounds parent to the originating collect span and
-        // tile the backoff schedule from the anchor.
-        let rounds: Vec<_> = spans
-            .iter()
-            .filter(|s| s.name == "retransmit_round")
-            .collect();
-        assert_eq!(rounds.len() as u64, metrics.retransmit_rounds);
-        assert!(rounds.iter().all(|s| s.parent == Some(collect)));
-        assert_eq!(rounds[0].start_ns, 2_500);
-        // One merge span under the root fans out to one shard_insert
-        // per shard.
-        let merge = spans
-            .iter()
-            .find(|s| s.name == "merge")
-            .expect("merge span recorded");
-        assert_eq!(merge.parent, Some(trace));
-        let inserts: Vec<_> = spans.iter().filter(|s| s.name == "shard_insert").collect();
-        assert_eq!(inserts.len(), 2);
-        assert!(inserts.iter().all(|s| s.parent == Some(merge.id)));
-        assert_eq!(
-            inserts.iter().filter_map(|s| s.shard).collect::<Vec<_>>(),
-            vec![0, 1]
-        );
-        // The root span was extended to cover the whole recovery.
-        let root = spans.iter().find(|s| s.id == trace).expect("root span");
-        assert_eq!(
-            root.end_ns,
-            2_500 + metrics.wall_clock.as_nanos(),
-            "root covers anchor + recovery wall clock"
-        );
-        // No escalation happened, so no os_read span exists.
-        assert!(spans.iter().all(|s| s.name != "os_read"));
+            let report = ow_obs::TraceReport::capture("test", &tracer, None);
+            assert_eq!(report.traces.len(), 1);
+            let summary = &report.traces[0];
+            let spans = &summary.spans;
+            // Recovery rounds parent to the originating collect span and
+            // tile the backoff schedule from the anchor.
+            let rounds: Vec<_> = spans
+                .iter()
+                .filter(|s| s.name == "retransmit_round")
+                .collect();
+            assert_eq!(rounds.len() as u64, metrics.retransmit_rounds);
+            assert!(rounds.iter().all(|s| s.parent == Some(collect)));
+            assert_eq!(rounds[0].start_ns, 2_500);
+            // One merge span under the root fans out to one
+            // shard_insert per shard.
+            let merge = spans
+                .iter()
+                .find(|s| s.name == "merge")
+                .expect("merge span recorded");
+            assert_eq!(merge.parent, Some(trace));
+            let inserts: Vec<_> = spans.iter().filter(|s| s.name == "shard_insert").collect();
+            assert_eq!(inserts.len(), 2);
+            assert!(inserts.iter().all(|s| s.parent == Some(merge.id)));
+            assert_eq!(
+                inserts.iter().filter_map(|s| s.shard).collect::<Vec<_>>(),
+                vec![0, 1]
+            );
+            // The root span was extended to cover the whole recovery.
+            let root = spans.iter().find(|s| s.id == trace).expect("root span");
+            assert_eq!(
+                root.end_ns,
+                2_500 + metrics.wall_clock.as_nanos(),
+                "root covers anchor + recovery wall clock"
+            );
+            // No escalation happened, so no os_read span exists.
+            assert!(spans.iter().all(|s| s.name != "os_read"));
+        }
     }
 
     #[test]
@@ -1666,9 +1469,9 @@ mod tests {
             .send(ReliableMsg::EndOfStream { subwindow: 0 })
             .unwrap();
         entered_rx.recv().unwrap();
-        assert!(ctl.offer(ReliableMsg::Afr(store[0])));
-        assert!(ctl.offer(ReliableMsg::Afr(store[0])));
-        assert!(!ctl.offer(ReliableMsg::Afr(store[0])));
+        assert!(ctl.offer(afr(store[0])));
+        assert!(ctl.offer(afr(store[0])));
+        assert!(!ctl.offer(afr(store[0])));
         gate_tx.send(()).unwrap();
         let metrics = ctl.join();
         assert_eq!(metrics.dropped, 1);
@@ -1681,42 +1484,43 @@ mod tests {
 
     #[test]
     fn block_stream_matches_batch_path_byte_for_byte() {
-        // The same workload delivered as AfrBatch messages and as
-        // chunked AfrBlock streams (with a lost seal flag on the last
-        // sub-window, repaired by shutdown) must merge identically.
+        // The same workload delivered as one block per sub-window and as
+        // chunked block streams (with a lost end-of-stream mark on the
+        // last sub-window, repaired by shutdown) must merge identically.
         let run_batch = |shards: usize| {
-            let ctl = LiveController::spawn_sharded(3, 64, shards);
+            let ctl = lossless(3, shards);
             for sw in 0..5u32 {
-                ctl.sender
-                    .send(batch(sw, 0..60, (sw as u64 + 1) * 3))
-                    .unwrap();
+                send_lossless(&ctl, sw, &batch(sw, 0..60, (sw as u64 + 1) * 3));
             }
             let handle = ctl.handle.clone();
-            assert_eq!(ctl.join(), 5);
+            assert_eq!(ctl.join().first_pass, 300);
             handle
         };
         let run_blocks = |shards: usize| {
-            let ctl = LiveController::spawn_sharded(3, 64, shards);
+            let ctl = lossless(3, shards);
             for sw in 0..5u32 {
-                let afrs: Vec<FlowRecord> = (0..60u32)
-                    .map(|i| FlowRecord::frequency(FlowKey::src_ip(i), (sw as u64 + 1) * 3, sw))
-                    .collect();
-                let chunks: Vec<&[FlowRecord]> = afrs.chunks(17).collect();
-                for (i, chunk) in chunks.iter().enumerate() {
-                    // The last sub-window's seal flag is "lost": the
-                    // next sub-window's first block (or shutdown) must
-                    // seal it implicitly.
-                    let seal = i + 1 == chunks.len() && sw != 4;
+                let afrs = batch(sw, 0..60, (sw as u64 + 1) * 3);
+                ctl.sender
+                    .send(ReliableMsg::Announce {
+                        subwindow: sw,
+                        announced: 60,
+                    })
+                    .unwrap();
+                for chunk in afrs.chunks(17) {
                     ctl.sender
-                        .send(DataPlaneMsg::AfrBlock {
-                            block: RecordBlock::from_records(sw, chunk),
-                            seal,
-                        })
+                        .send(ReliableMsg::AfrBlock(RecordBlock::from_records(sw, chunk)))
+                        .unwrap();
+                }
+                // The last sub-window's end-of-stream mark is "lost":
+                // shutdown must still complete it.
+                if sw != 4 {
+                    ctl.sender
+                        .send(ReliableMsg::EndOfStream { subwindow: sw })
                         .unwrap();
                 }
             }
             let handle = ctl.handle.clone();
-            assert_eq!(ctl.join(), 5);
+            assert_eq!(ctl.join().first_pass, 300);
             handle
         };
         let baseline = run_batch(1);
@@ -1773,11 +1577,8 @@ mod tests {
                         )))
                         .unwrap();
                 } else {
-                    for rec in &survivors {
-                        ctl.sender.send(ReliableMsg::Afr(*rec)).unwrap();
-                    }
-                    for rec in &survivors[0..9] {
-                        ctl.sender.send(ReliableMsg::Afr(*rec)).unwrap();
+                    for rec in survivors.iter().chain(&survivors[0..9]) {
+                        ctl.sender.send(afr(*rec)).unwrap();
                     }
                 }
                 ctl.sender
@@ -1832,10 +1633,10 @@ mod tests {
 
     #[test]
     fn rejected_block_counts_dropped_records_not_messages() {
-        // Satellite-6 regression: the offer path's drop accounting is in
-        // *records*. Wedge the router, fill the queue (depth 2), then
-        // offer a 5-record block — `dropped` must rise by 5, not 1, and
-        // the registry counter must mirror it.
+        // The offer path's drop accounting is in *records*. Wedge the
+        // router, fill the queue (depth 2), then offer a 5-record block
+        // and a traced 4-record block — `dropped` must rise by 5 and 4,
+        // not 1 each, and the registry counter must mirror it.
         let obs = Obs::new();
         let (entered_tx, entered_rx) = std::sync::mpsc::channel::<()>();
         let (gate_tx, gate_rx) = std::sync::mpsc::channel::<()>();
@@ -1864,8 +1665,8 @@ mod tests {
             .send(ReliableMsg::EndOfStream { subwindow: 0 })
             .unwrap();
         entered_rx.recv().unwrap();
-        assert!(ctl.offer(ReliableMsg::Afr(store[0])));
-        assert!(ctl.offer(ReliableMsg::Afr(store[0])));
+        assert!(ctl.offer(afr(store[0])));
+        assert!(ctl.offer(afr(store[0])));
         let burst = RecordBlock::from_records(0, &seq_batch(0, 5));
         assert!(
             !ctl.offer(ReliableMsg::AfrBlock(burst)),
@@ -1876,13 +1677,29 @@ mod tests {
             5,
             "a rejected block drops its whole payload"
         );
+        // A traced block charges its row count too, not 1.
+        let ctx = TraceContext {
+            trace_id: 1,
+            root: 1,
+            collect: 2,
+            anchor_ns: 0,
+        };
+        let traced = ReliableMsg::Traced(Traced::new(
+            ctx,
+            Box::new(ReliableMsg::AfrBlock(RecordBlock::from_records(
+                0,
+                &seq_batch(0, 4),
+            ))),
+        ));
+        assert!(!ctl.offer(traced), "the queue is still full");
+        assert_eq!(ctl.handle.dropped(), 9);
         gate_tx.send(()).unwrap();
         let metrics = ctl.join();
-        assert_eq!(metrics.dropped, 5);
+        assert_eq!(metrics.dropped, 9);
         assert_eq!(
             obs.snapshot()
                 .value("ow_controller_backpressure_dropped_total", &[]),
-            5
+            9
         );
     }
 
@@ -1947,7 +1764,7 @@ mod tests {
 
     #[test]
     fn queries_concurrent_with_ingest() {
-        let ctl = LiveController::spawn(3, 64);
+        let ctl = lossless(3, shards_from_env());
         let handle = ctl.handle.clone();
         let reader = std::thread::spawn(move || {
             let mut max_seen = 0;
@@ -1958,11 +1775,11 @@ mod tests {
             max_seen
         });
         for sw in 0..20u32 {
-            ctl.sender.send(batch(sw, 0..50, 1)).unwrap();
+            send_lossless(&ctl, sw, &batch(sw, 0..50, 1));
         }
         let _ = reader.join().unwrap();
         let final_handle = ctl.handle.clone();
-        assert_eq!(ctl.join(), 20);
+        assert_eq!(ctl.join().first_pass, 1000);
         // Final state spans the last 3 sub-windows.
         assert_eq!(final_handle.subwindows(), vec![17, 18, 19]);
     }

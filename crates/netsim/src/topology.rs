@@ -15,7 +15,8 @@
 //! the controller spawns, so a topology experiment can dial collection
 //! throughput without touching any call site.
 
-use ow_controller::live::LiveController;
+use ow_controller::live::ReliableLiveController;
+use ow_controller::reliability::RetryPolicy;
 use ow_obs::Obs;
 use ow_switch::app::DataPlaneApp;
 use ow_switch::switch::{Switch, SwitchConfig};
@@ -39,7 +40,7 @@ pub struct LivePath<A> {
     /// The verified switches and their simulator.
     pub path: VerifiedPath<A>,
     /// The running sharded merge controller.
-    pub controller: LiveController,
+    pub controller: ReliableLiveController,
 }
 
 /// A structurally invalid topology, rejected before any switch is
@@ -278,6 +279,9 @@ impl TopologyBuilder {
     /// controller (sliding window of `window_subwindows` sub-windows,
     /// `queue_depth`-bounded channels) wired for the path's AFR
     /// batches. The shard count comes from [`TopologyBuilder::shards`].
+    /// The path feeds it losslessly, so it has no back-channel:
+    /// retransmission requests go unanswered and an OS-read escalation
+    /// panics the controller.
     ///
     /// # Panics
     /// Panics unless `links == nodes − 1` (a linear path), as
@@ -298,9 +302,12 @@ impl TopologyBuilder {
         let path = self.build_verified(cfg, app)?;
         Ok(LivePath {
             path,
-            controller: LiveController::spawn_sharded_obs(
+            controller: ReliableLiveController::spawn_sharded_obs(
                 window_subwindows,
                 queue_depth,
+                RetryPolicy::default(),
+                Box::new(|_, _| Vec::new()),
+                Box::new(|_| panic!("a lossless path never escalates")),
                 shards,
                 obs.as_ref(),
             ),
@@ -318,6 +325,33 @@ mod tests {
     fn app(node: usize, region: usize) -> FrequencyApp<CountMin> {
         let seed = (node as u64) << 8 | region as u64;
         FrequencyApp::new(CountMin::new(2, 4096, seed), KeyKind::SrcIp, false)
+    }
+
+    /// Announce `n` count-5 AFRs for `sw`, stream them as one block with
+    /// dense sequence ids, and end the stream.
+    fn send_lossless(ctl: &ReliableLiveController, sw: u32, n: u32) {
+        use ow_common::afr::FlowRecord;
+        use ow_common::block::RecordBlock;
+        use ow_common::flowkey::FlowKey;
+        use ow_controller::live::ReliableMsg;
+
+        let afrs: Vec<FlowRecord> = (0..n)
+            .map(|i| {
+                let mut r = FlowRecord::frequency(FlowKey::src_ip(i), 5, sw);
+                r.seq = i;
+                r
+            })
+            .collect();
+        for msg in [
+            ReliableMsg::Announce {
+                subwindow: sw,
+                announced: n,
+            },
+            ReliableMsg::AfrBlock(RecordBlock::from_records(sw, &afrs)),
+            ReliableMsg::EndOfStream { subwindow: sw },
+        ] {
+            ctl.sender.send(msg).unwrap();
+        }
     }
 
     #[test]
@@ -342,10 +376,6 @@ mod tests {
 
     #[test]
     fn live_path_attaches_a_sharded_controller() {
-        use ow_common::afr::FlowRecord;
-        use ow_common::flowkey::FlowKey;
-        use ow_controller::live::DataPlaneMsg;
-
         let live = TopologyBuilder::new(7)
             .shards(4)
             .node(NodeConfig::default())
@@ -366,28 +396,16 @@ mod tests {
         assert_eq!(live.controller.handle.shard_count(), 4);
         assert_eq!(live.controller.handle.window_span(), 3);
         for sw in 0..2u32 {
-            live.controller
-                .sender
-                .send(DataPlaneMsg::AfrBatch {
-                    subwindow: sw,
-                    afrs: (0..20)
-                        .map(|i| FlowRecord::frequency(FlowKey::src_ip(i), 5, sw))
-                        .collect(),
-                })
-                .unwrap();
+            send_lossless(&live.controller, sw, 20);
         }
         let handle = live.controller.handle.clone();
-        assert_eq!(live.controller.join(), 2);
+        assert_eq!(live.controller.join().first_pass, 40);
         assert_eq!(handle.merged_flows(), 20);
         assert_eq!(handle.subwindows(), vec![0, 1]);
     }
 
     #[test]
     fn obs_knob_wires_the_registry_through_switches_and_controller() {
-        use ow_common::afr::FlowRecord;
-        use ow_common::flowkey::FlowKey;
-        use ow_controller::live::DataPlaneMsg;
-
         let obs = Obs::new();
         let live = TopologyBuilder::new(7)
             .shards(2)
@@ -406,21 +424,13 @@ mod tests {
                 16,
             )
             .expect("both nodes verify");
-        live.controller
-            .sender
-            .send(DataPlaneMsg::AfrBatch {
-                subwindow: 0,
-                afrs: (0..10)
-                    .map(|i| FlowRecord::frequency(FlowKey::src_ip(i), 5, 0))
-                    .collect(),
-            })
-            .unwrap();
-        assert_eq!(live.controller.join(), 1);
+        send_lossless(&live.controller, 0, 10);
+        assert_eq!(live.controller.join().first_pass, 10);
 
         let snap = obs.snapshot();
-        // Controller side: the routed batch and both shard gauges
+        // Controller side: the merged session and both shard gauges
         // (drained back to zero) are visible.
-        assert_eq!(snap.value("ow_controller_batches_total", &[]), 1);
+        assert_eq!(snap.value("ow_controller_sessions_total", &[]), 1);
         for shard in 0..2u32 {
             let gauge = snap
                 .get(

@@ -6,10 +6,12 @@
 //!
 //! Run with: `cargo run --release --example switch_protocol`
 
+use ow_common::block::RecordBlock;
 use ow_common::flowkey::KeyKind;
 use ow_common::packet::{OwFlag, Packet, TcpFlags};
 use ow_common::time::{Duration, Instant};
-use ow_controller::live::{DataPlaneMsg, LiveController};
+use ow_controller::live::{ReliableLiveController, ReliableMsg};
+use ow_controller::reliability::RetryPolicy;
 use ow_sketch::CountMin;
 use ow_switch::app::{DataPlaneApp, FrequencyApp};
 use ow_switch::collect::{make_collection_packets, PacketCollector, PassResult};
@@ -78,7 +80,15 @@ fn main() {
         mk_app(2),
     )
     .expect("pipeline verifies");
-    let controller = LiveController::spawn(5, 64);
+    // A lossless hop: the controller runs the §8 loop with nothing to
+    // recover, so retransmission answers nothing and escalation is a bug.
+    let controller = ReliableLiveController::spawn(
+        5,
+        64,
+        RetryPolicy::default(),
+        Box::new(|_, _| Vec::new()),
+        Box::new(|_| panic!("a lossless hop never escalates")),
+    );
 
     // 4 sub-windows of traffic: host 77 sends 40 packets per sub-window.
     let mut events = Vec::new();
@@ -99,7 +109,7 @@ fn main() {
     }
     events.extend(switch.flush());
 
-    let mut batches = 0;
+    let mut afrs_sent = 0u64;
     for e in events {
         match e {
             SwitchEvent::Trigger {
@@ -118,21 +128,25 @@ fn main() {
                     outcome.collect_time,
                     outcome.reset_time
                 );
-                controller
-                    .sender
-                    .send(DataPlaneMsg::AfrBatch {
+                for msg in [
+                    ReliableMsg::Announce {
                         subwindow,
-                        afrs: outcome.afrs,
-                    })
-                    .unwrap();
-                batches += 1;
+                        announced: outcome.afrs.len() as u32,
+                    },
+                    ReliableMsg::AfrBlock(RecordBlock::from_records(subwindow, &outcome.afrs)),
+                    ReliableMsg::EndOfStream { subwindow },
+                ] {
+                    controller.sender.send(msg).unwrap();
+                }
+                afrs_sent += outcome.afrs.len() as u64;
             }
             _ => {}
         }
     }
     let handle = controller.handle.clone();
-    let processed = controller.join();
-    assert_eq!(processed, batches);
+    let metrics = controller.join();
+    assert_eq!(metrics.announced, afrs_sent);
+    assert_eq!(metrics.first_pass, afrs_sent);
 
     let heavy = handle.flows_over(100.0);
     println!(

@@ -4,21 +4,23 @@
 //! invisible throughput optimisation: at any shard count and any block
 //! capacity — including capacity 1 (a block per record) and ragged
 //! final blocks — the deterministic final fold must be
-//! **byte-identical** to the 1-shard per-record baseline, and every
-//! query must return the same answer. These properties pin that down on
+//! **byte-identical** to an independent reference, a single
+//! [`MergeTable`] fed each sub-window's loss-free batch, and every
+//! query must return the same answer. This property pins that down on
 //! random lossy traces: records dropped on the wire, delivered out of
-//! order, and (on the reliable path) duplicated, with the recovery loop
-//! repairing the losses before anything merges.
+//! order, and duplicated, with the recovery loop repairing the losses
+//! before anything merges.
 
 use ow_common::afr::{AttrValue, DistinctBitmap, FlowRecord};
 use ow_common::block::RecordBlock;
 use ow_common::flowkey::FlowKey;
-use ow_controller::live::{DataPlaneMsg, LiveController, ReliableLiveController, ReliableMsg};
+use ow_controller::live::{ReliableLiveController, ReliableMsg};
 use ow_controller::reliability::RetryPolicy;
 use ow_controller::wire::encode_merged;
+use ow_controller::MergeTable;
 use proptest::prelude::*;
 
-/// Shard counts × block capacities every property sweeps. Capacity 1
+/// Shard counts × block capacities the property sweeps. Capacity 1
 /// degenerates to a block per record; 7 leaves a ragged final block on
 /// almost every batch; 1024 exceeds every generated batch, so whole
 /// sub-windows travel as single (ragged) blocks.
@@ -56,10 +58,10 @@ fn attr_for(key: u32, v: u64) -> AttrValue {
 /// a shuffle rank; sorting deliveries by rank yields the reordered
 /// arrival schedule. The schedule is part of the generated value, so
 /// every (shard count, capacity) combination replays the *same* trace.
-fn arb_trace(dup_and_drop: bool) -> impl Strategy<Value = Vec<SubwindowTrace>> {
+fn arb_trace() -> impl Strategy<Value = Vec<SubwindowTrace>> {
     let record = (0u32..40, 1u64..1_000, 0u8..6, any::<u64>());
     let batch = proptest::collection::vec(record, 0..50);
-    proptest::collection::vec(batch, 1..16).prop_map(move |raw| {
+    proptest::collection::vec(batch, 1..16).prop_map(|raw| {
         raw.into_iter()
             .enumerate()
             .map(|(sw, batch)| {
@@ -75,14 +77,10 @@ fn arb_trace(dup_and_drop: bool) -> impl Strategy<Value = Vec<SubwindowTrace>> {
                     .collect();
                 let mut deliveries: Vec<(u64, usize)> = Vec::new();
                 for (i, (_, _, fate, rank)) in batch.iter().enumerate() {
-                    let copies = if !dup_and_drop {
-                        1 // lossless schedule: reorder only
-                    } else {
-                        match fate {
-                            0 => 0, // dropped on the wire
-                            1 => 2, // the fabric duplicated the clone
-                            _ => 1,
-                        }
+                    let copies = match fate {
+                        0 => 0, // dropped on the wire
+                        1 => 2, // the fabric duplicated the clone
+                        _ => 1,
                     };
                     for c in 0..copies {
                         // Distinct ranks per copy keep the shuffle stable.
@@ -104,81 +102,32 @@ fn arrivals(t: &SubwindowTrace) -> Vec<FlowRecord> {
     t.deliveries.iter().map(|&i| t.store[i]).collect()
 }
 
-/// Comparable facts of a finished run: the encoded fold bytes, the
-/// `flows_over(25.0)` answer, and the retained sub-windows.
-type FoldFacts = (Vec<u8>, Vec<(FlowKey, f64)>, Vec<u32>);
+/// Comparable facts of a finished run: the encoded fold bytes and the
+/// `flows_over(25.0)` answer.
+type FoldFacts = (Vec<u8>, Vec<(FlowKey, f64)>);
 
-/// Fold a finished live handle into comparable facts.
-fn observe(handle: &ow_controller::live::LiveHandle) -> FoldFacts {
+/// The independent reference: one single-threaded [`MergeTable`] fed
+/// each sub-window's loss-free batch, evicting the oldest sub-window
+/// past the span of 3.
+fn reference(trace: &[SubwindowTrace]) -> FoldFacts {
+    let mut table = MergeTable::new();
+    for (sw, t) in trace.iter().enumerate() {
+        table.insert_batch(sw as u32, t.store.clone());
+        while table.subwindows().len() > 3 {
+            table.evict_oldest();
+        }
+    }
     (
-        encode_merged(&handle.snapshot()).to_vec(),
-        handle.flows_over(25.0),
-        handle.subwindows(),
+        encode_merged(&table.snapshot()).to_vec(),
+        table.flows_over(25.0),
     )
 }
 
-/// Data-plane replay: the arrival schedule (drops + reordering only —
-/// the unreliable path has no dedup) chunked into capacity-bounded
-/// blocks, one `AfrBlock` message per block, seal on the last.
-fn run_dataplane_blocks(
-    trace: &[SubwindowTrace],
-    shards: usize,
-    capacity: usize,
-) -> (FoldFacts, u64) {
-    let ctl = LiveController::spawn_sharded(3, 64, shards);
-    for (sw, t) in trace.iter().enumerate() {
-        let recs = arrivals(t);
-        let chunks: Vec<&[FlowRecord]> = recs.chunks(capacity).collect();
-        if chunks.is_empty() {
-            // An empty sub-window still travels: one empty sealed block.
-            ctl.sender
-                .send(DataPlaneMsg::AfrBlock {
-                    block: RecordBlock::new(sw as u32),
-                    seal: true,
-                })
-                .unwrap();
-            continue;
-        }
-        for (i, chunk) in chunks.iter().enumerate() {
-            ctl.sender
-                .send(DataPlaneMsg::AfrBlock {
-                    block: RecordBlock::from_records(sw as u32, chunk),
-                    seal: i + 1 == chunks.len(),
-                })
-                .unwrap();
-        }
-    }
-    let handle = ctl.handle.clone();
-    let routed = ctl.join();
-    (observe(&handle), routed)
-}
-
-/// Data-plane per-record baseline: the same arrival schedule as one
-/// `AfrBatch` per sub-window (the pre-block row-at-a-time shape).
-fn run_dataplane_per_record(trace: &[SubwindowTrace]) -> (FoldFacts, u64) {
-    let ctl = LiveController::spawn_sharded(3, 64, 1);
-    for (sw, t) in trace.iter().enumerate() {
-        ctl.sender
-            .send(DataPlaneMsg::AfrBatch {
-                subwindow: sw as u32,
-                afrs: arrivals(t),
-            })
-            .unwrap();
-    }
-    let handle = ctl.handle.clone();
-    let routed = ctl.join();
-    (observe(&handle), routed)
-}
-
-/// Reliable replay: announce, stream the lossy arrival schedule (as
-/// blocks of `capacity`, or per-record when `capacity` is `None`), end
-/// the stream, and let the recovery loop retransmit what the wire
-/// dropped. Returns the fold facts plus the announced-record total.
-fn run_reliable(
-    trace: &[SubwindowTrace],
-    shards: usize,
-    capacity: Option<usize>,
-) -> (Vec<u8>, Vec<(FlowKey, f64)>, u64) {
+/// Reliable replay: announce, stream the lossy arrival schedule as
+/// blocks of `capacity`, end the stream, and let the recovery loop
+/// retransmit what the wire dropped. Returns the fold facts plus the
+/// announced-record total.
+fn run_reliable(trace: &[SubwindowTrace], shards: usize, capacity: usize) -> (FoldFacts, u64) {
     let stores: Vec<Vec<FlowRecord>> = trace.iter().map(|t| t.store.clone()).collect();
     let ctl = ReliableLiveController::spawn_sharded(
         3,
@@ -203,20 +152,10 @@ fn run_reliable(
                 announced: t.store.len() as u32,
             })
             .unwrap();
-        let recs = arrivals(t);
-        match capacity {
-            None => {
-                for rec in recs {
-                    ctl.sender.send(ReliableMsg::Afr(rec)).unwrap();
-                }
-            }
-            Some(cap) => {
-                for chunk in recs.chunks(cap) {
-                    ctl.sender
-                        .send(ReliableMsg::AfrBlock(RecordBlock::from_records(sw, chunk)))
-                        .unwrap();
-                }
-            }
+        for chunk in arrivals(t).chunks(capacity) {
+            ctl.sender
+                .send(ReliableMsg::AfrBlock(RecordBlock::from_records(sw, chunk)))
+                .unwrap();
         }
         ctl.sender
             .send(ReliableMsg::EndOfStream { subwindow: sw })
@@ -225,36 +164,11 @@ fn run_reliable(
     let handle = ctl.handle.clone();
     let metrics = ctl.join();
     assert_eq!(metrics.escalations, 0, "the back-channel is reliable");
-    let (bytes, over, _) = observe(&handle);
-    (bytes, over, metrics.announced)
-}
-
-proptest! {
-    // Each case spawns 17 controllers (1 baseline + 4 shard counts × 4
-    // capacities), each with its worker threads; keep the case count
-    // modest — the shard/capacity sweep inside each case is the point.
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// Data-plane block streaming at any (shard count, capacity) is
-    /// byte-identical to the 1-shard per-record baseline on any
-    /// drop+reorder trace, ragged final blocks included.
-    #[test]
-    fn dataplane_blocks_match_per_record_baseline(trace in arb_trace(false)) {
-        let ((base_bytes, base_over, base_sws), base_routed) = run_dataplane_per_record(&trace);
-        prop_assert_eq!(base_routed, trace.len() as u64);
-        for shards in SHARDS {
-            for cap in CAPACITIES {
-                let ((bytes, over, sws), routed) = run_dataplane_blocks(&trace, shards, cap);
-                prop_assert_eq!(
-                    &bytes, &base_bytes,
-                    "{} shards × capacity {} diverged from the per-record fold", shards, cap
-                );
-                prop_assert_eq!(&over, &base_over);
-                prop_assert_eq!(&sws, &base_sws);
-                prop_assert_eq!(routed, base_routed);
-            }
-        }
-    }
+    let facts = (
+        encode_merged(&handle.snapshot()).to_vec(),
+        handle.flows_over(25.0),
+    );
+    (facts, metrics.announced)
 }
 
 proptest! {
@@ -262,22 +176,21 @@ proptest! {
 
     /// Reliable block streaming under drops, duplication, and
     /// reordering converges — via session dedup and the retransmission
-    /// loop — to the same bytes as the 1-shard per-record reliable
-    /// baseline at every (shard count, capacity).
+    /// loop — to the same bytes as the single-table loss-free reference
+    /// at every (shard count, capacity).
     #[test]
-    fn reliable_blocks_converge_to_per_record_baseline(trace in arb_trace(true)) {
-        let (base_bytes, base_over, base_announced) = run_reliable(&trace, 1, None);
+    fn reliable_blocks_converge_to_per_record_baseline(trace in arb_trace()) {
+        let (base_bytes, base_over) = reference(&trace);
         let total: u64 = trace.iter().map(|t| t.store.len() as u64).sum();
-        prop_assert_eq!(base_announced, total);
         for shards in SHARDS {
             for cap in CAPACITIES {
-                let (bytes, over, announced) = run_reliable(&trace, shards, Some(cap));
+                let ((bytes, over), announced) = run_reliable(&trace, shards, cap);
                 prop_assert_eq!(
                     &bytes, &base_bytes,
-                    "{} shards × capacity {} diverged from the per-record fold", shards, cap
+                    "{} shards × capacity {} diverged from the reference fold", shards, cap
                 );
                 prop_assert_eq!(&over, &base_over);
-                prop_assert_eq!(announced, base_announced);
+                prop_assert_eq!(announced, total);
             }
         }
     }

@@ -4,6 +4,7 @@
 use std::collections::HashMap;
 
 use ow_common::afr::{AttrValue, FlowRecord};
+use ow_common::block::RecordBlock;
 use ow_common::flowkey::{FlowKey, KeyKind};
 use ow_common::packet::{Packet, TcpFlags};
 use ow_common::time::{Duration, Instant};
@@ -299,9 +300,12 @@ fn duplicate_trigger_packet_is_idempotent() {
             })
             .unwrap();
     }
-    for r in afrs.iter().skip(3) {
-        ctl.sender.send(ReliableMsg::Afr(*r)).unwrap();
-    }
+    ctl.sender
+        .send(ReliableMsg::AfrBlock(RecordBlock::from_records(
+            subwindow,
+            &afrs[3..],
+        )))
+        .unwrap();
     ctl.sender
         .send(ReliableMsg::EndOfStream { subwindow })
         .unwrap();

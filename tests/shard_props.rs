@@ -10,8 +10,10 @@
 //! sliding-window evictions.
 
 use ow_common::afr::{AttrValue, DistinctBitmap, FlowRecord};
+use ow_common::block::RecordBlock;
 use ow_common::flowkey::FlowKey;
-use ow_controller::live::{DataPlaneMsg, LiveController};
+use ow_controller::live::{ReliableLiveController, ReliableMsg};
+use ow_controller::reliability::RetryPolicy;
 use ow_controller::wire::encode_merged;
 use ow_controller::ShardedMergeTable;
 use proptest::prelude::*;
@@ -110,24 +112,46 @@ proptest! {
     #[test]
     fn live_controller_fold_matches_across_shards(ops in arb_ops()) {
         let run_live = |shards: usize| {
-            let ctl = LiveController::spawn_sharded(3, 64, shards);
+            // The survivors are the whole batch the controller is told
+            // about, so nothing is missing and nothing escalates.
+            let ctl = ReliableLiveController::spawn_sharded(
+                3,
+                64,
+                RetryPolicy::default(),
+                Box::new(|_, _| Vec::new()),
+                Box::new(|_| panic!("a lossless stream never escalates")),
+                shards,
+            );
             for (sw, (batch, _)) in ops.iter().enumerate() {
-                ctl.sender
-                    .send(DataPlaneMsg::AfrBatch {
-                        subwindow: sw as u32,
-                        afrs: batch.clone(),
-                    })
-                    .unwrap();
+                let subwindow = sw as u32;
+                // The survivors' ids are sparse; the session wants the
+                // dense range it was announced. `seq` never enters the
+                // fold, so renumbering changes nothing merged.
+                let mut block = RecordBlock::new(subwindow);
+                for (seq, rec) in batch.iter().enumerate() {
+                    block.push_row(rec.key, rec.attr, seq as u32);
+                }
+                for msg in [
+                    ReliableMsg::Announce {
+                        subwindow,
+                        announced: batch.len() as u32,
+                    },
+                    ReliableMsg::AfrBlock(block),
+                    ReliableMsg::EndOfStream { subwindow },
+                ] {
+                    ctl.sender.send(msg).unwrap();
+                }
             }
             let handle = ctl.handle.clone();
-            let routed = ctl.join();
-            (encode_merged(&handle.snapshot()).to_vec(), handle.subwindows(), routed)
+            let merged = ctl.join().first_pass;
+            (encode_merged(&handle.snapshot()).to_vec(), handle.subwindows(), merged)
         };
-        let (base_bytes, base_sws, base_routed) = run_live(1);
-        let (bytes, sws, routed) = run_live(8);
+        let (base_bytes, base_sws, base_merged) = run_live(1);
+        let (bytes, sws, merged) = run_live(8);
         prop_assert_eq!(bytes, base_bytes, "8-shard live fold diverged");
         prop_assert_eq!(sws, base_sws);
-        prop_assert_eq!(routed, base_routed);
-        prop_assert_eq!(routed, ops.len() as u64);
+        prop_assert_eq!(merged, base_merged);
+        let survivors: usize = ops.iter().map(|(batch, _)| batch.len()).sum();
+        prop_assert_eq!(merged, survivors as u64);
     }
 }

@@ -13,6 +13,7 @@ use std::collections::{HashMap, HashSet};
 
 use omniwindow::experiments::obs_smoke::{self, ObsSmokeConfig};
 use ow_common::afr::FlowRecord;
+use ow_common::block::RecordBlock;
 use ow_common::flowkey::FlowKey;
 use ow_common::time::Duration;
 use ow_controller::live::{ReliableLiveController, ReliableMsg};
@@ -236,20 +237,26 @@ fn departed_and_escalated_windows_leave_complete_single_rooted_traces() {
         }
     };
 
+    let traced =
+        |ctx: TraceContext, msg: ReliableMsg| ReliableMsg::Traced(Traced::new(ctx, Box::new(msg)));
+
     // Sub-window 0: announced, half-streamed, then its switch departs.
     let departing = ctx_for(0);
     ctl.sender
-        .send(ReliableMsg::TracedAnnounce {
-            subwindow: 0,
-            announced: batch.len() as u32,
-            ctx: departing,
-        })
+        .send(traced(
+            departing,
+            ReliableMsg::Announce {
+                subwindow: 0,
+                announced: batch.len() as u32,
+            },
+        ))
         .unwrap();
-    for rec in batch.iter().take(2) {
-        ctl.sender
-            .send(ReliableMsg::TracedAfr(Traced::new(departing, *rec)))
-            .unwrap();
-    }
+    ctl.sender
+        .send(traced(
+            departing,
+            ReliableMsg::AfrBlock(RecordBlock::from_records(0, &batch[..2])),
+        ))
+        .unwrap();
     ctl.sender
         .send(ReliableMsg::Depart { subwindow: 0 })
         .unwrap();
@@ -258,16 +265,19 @@ fn departed_and_escalated_windows_leave_complete_single_rooted_traces() {
     // recovery must run its rounds dry and escalate to the OS read.
     let surviving = ctx_for(1);
     ctl.sender
-        .send(ReliableMsg::TracedAnnounce {
-            subwindow: 1,
-            announced: batch.len() as u32,
-            ctx: surviving,
-        })
+        .send(traced(
+            surviving,
+            ReliableMsg::Announce {
+                subwindow: 1,
+                announced: batch.len() as u32,
+            },
+        ))
         .unwrap();
-    let mut first = batch[0];
-    first.subwindow = 1;
     ctl.sender
-        .send(ReliableMsg::TracedAfr(Traced::new(surviving, first)))
+        .send(traced(
+            surviving,
+            ReliableMsg::AfrBlock(RecordBlock::from_records(1, &batch[..1])),
+        ))
         .unwrap();
     ctl.sender
         .send(ReliableMsg::EndOfStream { subwindow: 1 })
