@@ -17,16 +17,15 @@ fn main() {
     for (label, rows) in [("tumbling", &result.tumbling), ("sliding", &result.sliding)] {
         println!("{label} window:");
         println!(
-            "  {:>4} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10}",
-            "sw", "O1", "O2", "O3", "O4", "O5", "total"
+            "  {:>4} {:>10} {:>10} {:>10} {:>10} {:>10}",
+            "sw", "O1", "O2+O3", "O4", "O5", "total"
         );
         for r in rows {
             println!(
-                "  {:>4} {:>10.0} {:>10.0} {:>10.0} {:>10.0} {:>10.0} {:>10.0}",
+                "  {:>4} {:>10.0} {:>10.0} {:>10.0} {:>10.0} {:>10.0}",
                 r.subwindow,
                 r.o1_collect,
-                r.o2_insert,
-                r.o3_merge,
+                r.o23_insert_merge,
                 r.o4_process,
                 r.o5_evict,
                 r.total()

@@ -20,8 +20,7 @@
 //! * [`simd`] — scalar vs auto-vectorised AFR aggregation (Exp#7),
 //! * [`live`] — the threaded live controller: a router thread that
 //!   runs the §8 collection loop (announce, stream, recover, merge) in
-//!   front of `N` shard workers with lock-protected merge tables,
-//! * [`timing`] — the O1–O5 instrumented controller for Exp#4.
+//!   front of `N` shard workers with lock-protected merge tables.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,7 +33,6 @@ pub mod reliability;
 pub mod shard;
 pub mod simd;
 pub mod table;
-pub mod timing;
 pub mod wire;
 
 pub use collector::{CollectionSession, SessionStatus};
@@ -43,5 +41,4 @@ pub use rdma::{RdmaRegion, RdmaWriteKind};
 pub use reliability::{AfrTransport, FnTransport, ReliabilityDriver, RetryPolicy, SessionOutcome};
 pub use shard::ShardedMergeTable;
 pub use table::MergeTable;
-pub use timing::{InstrumentedController, OpBreakdown};
 pub use wire::{decode_batch, decode_merged, encode_batch, encode_merged};

@@ -22,7 +22,8 @@
 //! [`ShardedMergeTable::flows_over`]) sorts by packed key, making the
 //! merged output **byte-identical** to the single-shard baseline at any
 //! shard count — the property the proptests in `tests/props.rs` pin
-//! down and `ow-bench`'s `bench_cr` re-asserts while measuring.
+//! down and the workspace's `tests/block_props.rs` re-asserts for the
+//! live block path across shard counts × block capacities.
 
 use ow_common::afr::{AttrValue, FlowRecord};
 use ow_common::block::{RecordBlock, ShardScatter, DEFAULT_BLOCK_CAPACITY};

@@ -590,29 +590,34 @@ mod tests {
 
     #[test]
     fn max_recomputed_on_eviction() {
+        let rec = |i: u32, attr: AttrValue, sw: u32| FlowRecord {
+            key: key(i),
+            attr,
+            subwindow: sw,
+            seq: i,
+        };
         let mut t = MergeTable::new();
         t.insert_batch(
             0,
-            vec![FlowRecord {
-                key: key(1),
-                attr: AttrValue::Max(100),
-                subwindow: 0,
-                seq: 0,
-            }],
+            vec![
+                rec(1, AttrValue::Max(100), 0),
+                rec(2, AttrValue::Signed(5), 0),
+            ],
         );
         t.insert_batch(
             1,
-            vec![FlowRecord {
-                key: key(1),
-                attr: AttrValue::Max(40),
-                subwindow: 1,
-                seq: 0,
-            }],
+            vec![
+                rec(1, AttrValue::Max(40), 1),
+                rec(2, AttrValue::Signed(-2), 1),
+            ],
         );
         assert_eq!(t.get(&key(1)), Some(AttrValue::Max(100)));
+        assert_eq!(t.get(&key(2)), Some(AttrValue::Signed(3)));
         t.evict_oldest();
         // Max is not invertible: must recompute to 40, not keep 100.
         assert_eq!(t.get(&key(1)), Some(AttrValue::Max(40)));
+        // The evicted +5 leaves exactly the retained (negative) value.
+        assert_eq!(t.get(&key(2)), Some(AttrValue::Signed(-2)));
     }
 
     #[test]
@@ -665,8 +670,12 @@ mod tests {
 
     #[test]
     fn clear_releases_everything() {
+        // A tumbling window of three sub-windows: report, then release.
         let mut t = MergeTable::new();
-        t.insert_batch(0, vec![freq(1, 1, 0)]);
+        for sw in 0..3 {
+            t.insert_batch(sw, (0..10).map(|i| freq(i, 10, sw)).collect());
+        }
+        assert_eq!(t.flows_over(25.0).len(), 10);
         t.clear();
         assert!(t.is_empty());
         assert!(t.subwindows().is_empty());

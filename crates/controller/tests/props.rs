@@ -4,7 +4,6 @@
 use ow_common::afr::{AttrValue, DistinctBitmap, FlowRecord};
 use ow_common::flowkey::FlowKey;
 use ow_controller::table::MergeTable;
-use ow_controller::timing::{InstrumentedController, WindowMode};
 use ow_controller::wire::{decode_batch, encode_batch};
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -125,37 +124,38 @@ proptest! {
         prop_assert!(table.is_empty());
     }
 
-    /// The instrumented controller's sliding window reports the same
-    /// flows as a naive window recomputation, at every position.
+    /// A sliding window driven the way Exp#4 drives the production
+    /// table — `insert_batch`, then `flows_over`, then `evict_oldest`
+    /// once `span` sub-windows are retained — reports the same flows as
+    /// a naive window recomputation, at every position.
     #[test]
-    fn instrumented_sliding_matches_naive(batches in arb_batches(), span in 1usize..4) {
+    fn sliding_reports_match_naive_at_every_position(batches in arb_batches(), span in 1usize..4) {
         let recs: Vec<Vec<FlowRecord>> = batches
             .iter()
             .enumerate()
             .map(|(sw, b)| to_records(sw as u32, b))
             .collect();
         let threshold = 400.0;
-        let mut ctl = InstrumentedController::new(
-            WindowMode::Sliding { subwindows: span },
-            threshold,
-        );
-        let mut reports = Vec::new();
+        let mut table = MergeTable::new();
         for (sw, b) in recs.iter().enumerate() {
-            ctl.ingest(sw as u32, b);
-            if sw + 1 >= span {
-                reports.push(ctl.reports().last().cloned().unwrap());
+            table.insert_batch(sw as u32, b.clone());
+            if sw + 1 < span {
+                continue;
             }
-        }
-        // Naive reference per position.
-        for (pos, report) in reports.iter().enumerate() {
-            let naive = naive_merge(&recs[pos..pos + span]);
-            let mut expect: Vec<FlowKey> = naive
-                .iter()
-                .filter(|(_, v)| **v as f64 >= threshold)
-                .map(|(k, _)| *k)
+            let pos = sw + 1 - span;
+            let report: Vec<FlowKey> = table
+                .flows_over(threshold)
+                .into_iter()
+                .map(|(k, _)| k)
+                .collect();
+            let mut expect: Vec<FlowKey> = naive_merge(&recs[pos..=sw])
+                .into_iter()
+                .filter(|(_, v)| *v as f64 >= threshold)
+                .map(|(k, _)| k)
                 .collect();
             expect.sort_by_key(|k| k.as_u128());
-            prop_assert_eq!(report, &expect, "position {}", pos);
+            prop_assert_eq!(report, expect, "position {}", pos);
+            prop_assert_eq!(table.evict_oldest(), Some(pos as u32));
         }
     }
 
